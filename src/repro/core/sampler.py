@@ -34,13 +34,24 @@ constant-time per-token adjustments (a shifted-CDF three-case search for
 p2, a single-entry rewrite for p1) — never a per-token rebuild of the
 shared structures.  This is exactly why the block-shared tree is sound.
 
+The theta-row walk
+------------------
+The p1 bucket walks each token's theta row (Kd entries) once for S and
+once for the draw.  :func:`p1_walk_native` does that in C
+(:mod:`repro.perf.native`), one loop per token with the global prefix
+sum kept as a running scalar; :func:`p1_walk_numpy`, the reference and
+automatic fallback, materialises one entry per (token, non-zero) pair
+and takes a single global cumulative sum.  The two are bit-identical,
+so which one runs never changes a draw.
+
 Workspace reuse and compute dtype
 ---------------------------------
 Every large temporary of this kernel (the K x Wp shared trees, the
-sum-Kd gather arrays, the per-token vectors) is drawn from a
-:class:`repro.perf.Workspace` when one is passed, so steady-state
-iterations reuse buffers instead of reallocating them — the NumPy
-analogue of the static device buffers a real GPU kernel would use.
+per-token vectors and, in the NumPy walk, the sum-Kd gather arrays) is
+drawn from a :class:`repro.perf.Workspace` when one is passed, so
+steady-state iterations reuse buffers instead of reallocating them —
+the NumPy analogue of the static device buffers a real GPU kernel would
+use.
 Chunk-invariant data (present words, token->word-column map) is
 memoised per chunk inside the workspace, mirroring the paper's one-time
 CPU preprocessing.  With ``workspace=None`` (or any float64 workspace)
@@ -52,19 +63,26 @@ bandwidth, a different but statistically equivalent chain.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.costs import SamplingStats, tree_depth_for
 from repro.core.sparse import CsrCounts
 from repro.corpus.encoding import DeviceChunk
-from repro.perf import Workspace
+from repro.perf import Workspace, native
 
 #: dtype instances for hot-path Workspace.take calls (no per-call np.dtype())
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
 _BOOL = np.dtype(np.bool_)
+
+_MISSING_TOPIC = (
+    "token's current topic missing from its theta row — theta is "
+    "out of sync with the topic assignments"
+)
 
 
 @dataclass(frozen=True)
@@ -94,6 +112,211 @@ def index_dtype_for(n: int, num_topics: int, wp: int) -> np.dtype:
     if n * num_topics >= 2**31 or num_topics * wp >= 2**31:
         return _I64
     return _I32
+
+
+class P1Walk(NamedTuple):
+    """The p1 bucket of one chunk pass: per-token mass and its sampler.
+
+    ``s[i]`` is the token's p1 mass S (the sum of its theta row's
+    weights, own count excluded), ``base[i]`` the running p1 mass of all
+    rows before it in chunk order (the offset of its segment in the
+    global prefix sums) and ``lens[i]`` its row length Kd.
+    ``draw(t1, take_p1, out)`` writes, for every token with ``take_p1``
+    set, the topic whose prefix sum first exceeds ``t1[i]`` (clipped to
+    the row's last entry) into ``out[i]``; other entries are untouched.
+    """
+
+    s: np.ndarray
+    base: np.ndarray
+    lens: np.ndarray
+    draw: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
+def _p1_walk(
+    ws: Workspace,
+    docs: np.ndarray,
+    theta: CsrCounts,
+    p_sub: np.ndarray,
+    wcol: np.ndarray,
+    z_old: np.ndarray,
+    p_z_excl: np.ndarray,
+) -> P1Walk:
+    """Run the native p1 walk when it is built and fits these dtypes, else
+    the NumPy reference; record on ``ws`` which one answered and why."""
+    lib = native.kernels()
+    if lib is not None and lib.supports_p1(
+        p_sub.dtype, theta.indptr, theta.indices, theta.data
+    ):
+        ws.note_kernel("native", None)
+        return p1_walk_native(lib, ws, docs, theta, p_sub, wcol, z_old, p_z_excl)
+    if lib is None:
+        reason = native.status()["reason"]
+    else:
+        reason = (
+            f"no native loop for {p_sub.dtype}/{theta.indptr.dtype}/"
+            f"{theta.indices.dtype}/{theta.data.dtype}"
+        )
+    ws.note_kernel("numpy", reason)
+    return p1_walk_numpy(ws, docs, theta, p_sub, wcol, z_old, p_z_excl)
+
+
+def p1_walk_native(
+    lib: native.NativeKernels,
+    ws: Workspace,
+    docs: np.ndarray,
+    theta: CsrCounts,
+    p_sub: np.ndarray,
+    wcol: np.ndarray,
+    z_old: np.ndarray,
+    p_z_excl: np.ndarray,
+) -> P1Walk:
+    """p1 walk in C (``repro/perf/_kernels.c``): bit-identical to
+    :func:`p1_walk_numpy` with O(n) instead of O(sum Kd) storage."""
+    n = docs.shape[0]
+    num_topics = p_sub.shape[0]
+    # C trusts every pointer, size and index it is handed: check them here.
+    if not (
+        docs.dtype == wcol.dtype == z_old.dtype == _I64
+        and p_z_excl.dtype == p_sub.dtype
+        and docs.shape == wcol.shape == z_old.shape == p_z_excl.shape == (n,)
+        and all(a.flags.c_contiguous for a in (docs, p_sub, wcol, z_old, p_z_excl))
+    ):
+        raise ValueError("p1 walk inputs have the wrong dtype, shape or layout")
+    if n and not (
+        0 <= docs.min() and docs.max() < theta.num_rows
+        and 0 <= wcol.min() and wcol.max() < p_sub.shape[1]
+        and (theta.nnz == 0 or (
+            0 <= theta.indices.min() and theta.indices.max() < num_topics))
+    ):
+        raise IndexError("p1 walk index out of range of theta or p_sub")
+    indptr = np.ascontiguousarray(theta.indptr)
+    indices = np.ascontiguousarray(theta.indices)
+    data = np.ascontiguousarray(theta.data)
+    s = ws.take("s", n, p_sub.dtype)
+    base = ws.take("s_base", n, p_sub.dtype)
+    lens = ws.take("row_lens", n, _I64)
+    args = (docs, indptr, indices, data, p_sub, wcol, z_old, p_z_excl)
+    if lib.p1_mass(*args, s, base, lens) >= 0:
+        raise AssertionError(_MISSING_TOPIC)
+
+    def draw(t1: np.ndarray, take_p1: np.ndarray, out: np.ndarray) -> None:
+        lib.p1_draw(*args, base, t1, take_p1.view(np.uint8), out)
+
+    return P1Walk(s, base, lens, draw)
+
+
+def p1_walk_numpy(
+    ws: Workspace,
+    docs: np.ndarray,
+    theta: CsrCounts,
+    p_sub: np.ndarray,
+    wcol: np.ndarray,
+    z_old: np.ndarray,
+    p_z_excl: np.ndarray,
+) -> P1Walk:
+    """The NumPy reference p1 walk (and fallback of the native one).
+
+    Materialises one entry per (token, theta non-zero) pair — the
+    sum-Kd-sized ``seg_ids``/``gather_pos``/``gcols``/``w1``/``gcs``
+    workspace roles — and takes one global cumulative sum over them.
+    """
+    n = docs.shape[0]
+    num_topics, wp = p_sub.shape
+    starts = ws.take("row_starts", n, _I64)
+    np.take(theta.indptr, docs, out=starts)
+    lens = ws.take("row_lens", n, _I64)
+    np.take(theta.indptr[1:], docs, out=lens)
+    np.subtract(lens, starts, out=lens)
+    seg_offsets = ws.take("seg_offsets", n + 1, _I64)
+    seg_offsets[0] = 0
+    np.cumsum(lens, out=seg_offsets[1:])
+    total_nnz = int(seg_offsets[-1])
+    idx_t = index_dtype_for(n, num_topics, wp)
+    bnd = seg_offsets[1:-1]  # segment-start slots for tokens 1..n-1
+
+    # Every nnz-sized helper below is piecewise-constant (or piecewise
+    # arithmetic) over the segments, so it is materialised with a
+    # boundary-delta scatter + cumsum — sequential passes, no gathers.
+    # Offsets are strictly increasing because every token's document has
+    # at least one theta non-zero.
+    seg_ids = ws.zeros("seg_ids", total_nnz, idx_t)
+    seg_ids[bnd] = 1
+    np.cumsum(seg_ids, dtype=idx_t, out=seg_ids)
+    # pos[j] walks each segment [starts[i], starts[i]+lens[i]): delta 1
+    # inside a segment, boundary delta rebases to the next row's start.
+    pos = ws.take("gather_pos", total_nnz, idx_t)
+    pos[...] = 1
+    pos[0] = starts[0]
+    db = ws.take("boundary_delta", n - 1, _I64)
+    np.subtract(starts[1:], starts[:-1], out=db)
+    np.subtract(db, lens[:-1], out=db)
+    np.add(db, 1, out=db)
+    pos[bnd] = db
+    np.cumsum(pos, dtype=idx_t, out=pos)
+    # wcol_seg[j] = wcol[seg_ids[j]] via the same delta trick.
+    wcol_seg = ws.zeros("wcol_seg", total_nnz, idx_t)
+    wcol_seg[0] = wcol[0]
+    dwc = ws.take("wcol_delta", n - 1, idx_t)
+    np.subtract(wcol[1:], wcol[:-1], out=dwc, casting="same_kind")
+    wcol_seg[bnd] = dwc
+    np.cumsum(wcol_seg, dtype=idx_t, out=wcol_seg)
+
+    gcols = ws.take("gcols", total_nnz, theta.indices.dtype)
+    np.take(theta.indices, pos, out=gcols)
+    gvals = ws.take("gvals", total_nnz, theta.data.dtype)
+    np.take(theta.data, pos, out=gvals)
+    # flat gather from p_sub: row-major (k, c) -> k*Wp + c, gathered
+    # straight into w1 and scaled in place (one nnz-sized pass saved).
+    flat_pos = ws.take("flat_pos", total_nnz, idx_t)
+    np.multiply(gcols, idx_t.type(wp), out=flat_pos)
+    np.add(flat_pos, wcol_seg, out=flat_pos)
+    real = p_sub.dtype
+    w1 = ws.take("w1", total_nnz, real)
+    np.take(p_sub.reshape(-1), flat_pos, out=w1)
+    np.multiply(w1, gvals, out=w1)
+
+    # locate each token's own (d, z_old) entry inside its row segment;
+    # columns are sorted within rows, so global keys are sorted.
+    keys = flat_pos  # flat_pos is dead past this point; reuse its buffer
+    np.multiply(seg_ids, idx_t.type(num_topics), out=keys)
+    np.add(keys, gcols, out=keys)
+    targets_z = ws.take("targets_z", n, idx_t)
+    np.multiply(ws.arange(n), num_topics, out=targets_z, casting="same_kind")
+    np.add(targets_z, z_old, out=targets_z, casting="same_kind")
+    pos_z = np.searchsorted(keys, targets_z)
+    if pos_z.max(initial=-1) >= keys.shape[0] or not np.array_equal(
+        keys[pos_z], targets_z
+    ):
+        raise AssertionError(_MISSING_TOPIC)
+    gv_z = ws.take("gvals_at_z", n, theta.data.dtype)
+    np.take(gvals, pos_z, out=gv_z)
+    adj = ws.take("w1_adj", n, real)
+    np.subtract(gv_z, 1.0, out=adj, casting="same_kind")
+    np.multiply(adj, p_z_excl, out=adj)
+    w1[pos_z] = adj
+
+    # One cumulative sum serves both the segment totals S and the
+    # bucket-1 prefix-sum search below (the per-warp tree, built once).
+    gcs = ws.take("gcs", total_nnz + 1, real)
+    gcs[0] = 0.0
+    np.cumsum(w1, out=gcs[1:])
+    s = ws.take("s", n, real)
+    base = ws.take("s_base", n, real)
+    np.take(gcs, seg_offsets[1:], out=s)
+    np.take(gcs, seg_offsets[:-1], out=base)
+    np.subtract(s, base, out=s)
+    np.maximum(s, 0.0, out=s)  # guard cancellation noise
+
+    def draw(t1: np.ndarray, take_p1: np.ndarray, out: np.ndarray) -> None:
+        pos1 = np.searchsorted(gcs[1:], t1, side="right")
+        clip_hi = ws.take("clip_hi", n, _I64)
+        np.subtract(seg_offsets[1:], 1, out=clip_hi)
+        np.clip(pos1, seg_offsets[:-1], clip_hi, out=pos1)
+        z_p1 = ws.take("z_p1", n, theta.indices.dtype)
+        np.take(gcols, pos1, out=z_p1)
+        np.copyto(out, z_p1, where=take_p1)
+
+    return P1Walk(s, base, lens, draw)
 
 
 def sample_chunk(
@@ -218,92 +441,8 @@ def sample_chunk(
     np.divide(p_z_excl, den_z, out=p_z_excl)
 
     # ---- compute S: walk each token's theta row (sum Kd work) -----------
-    starts = ws.take("row_starts", n, _I64)
-    np.take(theta.indptr, docs, out=starts)
-    lens = ws.take("row_lens", n, _I64)
-    np.take(theta.indptr[1:], docs, out=lens)
-    np.subtract(lens, starts, out=lens)
-    seg_offsets = ws.take("seg_offsets", n + 1, _I64)
-    seg_offsets[0] = 0
-    np.cumsum(lens, out=seg_offsets[1:])
-    total_nnz = int(seg_offsets[-1])
-    idx_t = index_dtype_for(n, num_topics, wp)
-    bnd = seg_offsets[1:-1]  # segment-start slots for tokens 1..n-1
-
-    # Every nnz-sized helper below is piecewise-constant (or piecewise
-    # arithmetic) over the segments, so it is materialised with a
-    # boundary-delta scatter + cumsum — sequential passes, no gathers.
-    # Offsets are strictly increasing because every token's document has
-    # at least one theta non-zero.
-    seg_ids = ws.zeros("seg_ids", total_nnz, idx_t)
-    seg_ids[bnd] = 1
-    np.cumsum(seg_ids, dtype=idx_t, out=seg_ids)
-    # pos[j] walks each segment [starts[i], starts[i]+lens[i]): delta 1
-    # inside a segment, boundary delta rebases to the next row's start.
-    pos = ws.take("gather_pos", total_nnz, idx_t)
-    pos[...] = 1
-    pos[0] = starts[0]
-    db = ws.take("boundary_delta", n - 1, _I64)
-    np.subtract(starts[1:], starts[:-1], out=db)
-    np.subtract(db, lens[:-1], out=db)
-    np.add(db, 1, out=db)
-    pos[bnd] = db
-    np.cumsum(pos, dtype=idx_t, out=pos)
-    # wcol_seg[j] = wcol[seg_ids[j]] via the same delta trick.
-    wcol_seg = ws.zeros("wcol_seg", total_nnz, idx_t)
-    wcol_seg[0] = wcol[0]
-    dwc = ws.take("wcol_delta", n - 1, idx_t)
-    np.subtract(wcol[1:], wcol[:-1], out=dwc, casting="same_kind")
-    wcol_seg[bnd] = dwc
-    np.cumsum(wcol_seg, dtype=idx_t, out=wcol_seg)
-
-    gcols = ws.take("gcols", total_nnz, theta.indices.dtype)
-    np.take(theta.indices, pos, out=gcols)
-    gvals = ws.take("gvals", total_nnz, theta.data.dtype)
-    np.take(theta.data, pos, out=gvals)
-    # flat gather from p_sub: row-major (k, c) -> k*Wp + c, gathered
-    # straight into w1 and scaled in place (one nnz-sized pass saved).
-    flat_pos = ws.take("flat_pos", total_nnz, idx_t)
-    np.multiply(gcols, idx_t.type(wp), out=flat_pos)
-    np.add(flat_pos, wcol_seg, out=flat_pos)
-    w1 = ws.take("w1", total_nnz)
-    np.take(p_sub.reshape(-1), flat_pos, out=w1)
-    np.multiply(w1, gvals, out=w1)
-
-    # locate each token's own (d, z_old) entry inside its row segment;
-    # columns are sorted within rows, so global keys are sorted.
-    keys = flat_pos  # flat_pos is dead past this point; reuse its buffer
-    np.multiply(seg_ids, idx_t.type(num_topics), out=keys)
-    np.add(keys, gcols, out=keys)
-    targets_z = ws.take("targets_z", n, idx_t)
-    np.multiply(ws.arange(n), num_topics, out=targets_z, casting="same_kind")
-    np.add(targets_z, z_old, out=targets_z, casting="same_kind")
-    pos_z = np.searchsorted(keys, targets_z)
-    if pos_z.max(initial=-1) >= keys.shape[0] or not np.array_equal(
-        keys[pos_z], targets_z
-    ):
-        raise AssertionError(
-            "token's current topic missing from its theta row — theta is "
-            "out of sync with the topic assignments"
-        )
-    gv_z = ws.take("gvals_at_z", n, theta.data.dtype)
-    np.take(gvals, pos_z, out=gv_z)
-    adj = ws.take("w1_adj", n)
-    np.subtract(gv_z, 1.0, out=adj, casting="same_kind")
-    np.multiply(adj, p_z_excl, out=adj)
-    w1[pos_z] = adj
-
-    # One cumulative sum serves both the segment totals S and the
-    # bucket-1 prefix-sum search below (the per-warp tree, built once).
-    gcs = ws.take("gcs", total_nnz + 1)
-    gcs[0] = 0.0
-    np.cumsum(w1, out=gcs[1:])
-    s = ws.take("s", n)
-    base = ws.take("s_base", n)
-    np.take(gcs, seg_offsets[1:], out=s)
-    np.take(gcs, seg_offsets[:-1], out=base)
-    np.subtract(s, base, out=s)
-    np.maximum(s, 0.0, out=s)  # guard cancellation noise
+    walk = _p1_walk(ws, docs, theta, p_sub, wcol, z_old, p_z_excl)
+    s, base, lens = walk.s, walk.base, walk.lens
 
     # ---- compute Q (shared P with O(1) exclusion fix) --------------------
     pw_tok = ws.take("pw_tok", n)
@@ -322,16 +461,10 @@ def sample_chunk(
     take_p1 = ws.take("take_p1", n, _BOOL)
     np.less(tmp_n, s, out=take_p1)
 
-    # ---- draw from p1: prefix-sum search in the private (per-warp) tree --
+    # ---- p1 targets (the draw itself runs after the p2 search) ----------
     t1 = _fill_random(rng, ws.take("t1", n))
     np.multiply(t1, s, out=t1)
     np.add(base, t1, out=t1)
-    pos1 = np.searchsorted(gcs[1:], t1, side="right")
-    clip_hi = ws.take("clip_hi", n, _I64)
-    np.subtract(seg_offsets[1:], 1, out=clip_hi)
-    np.clip(pos1, seg_offsets[:-1], clip_hi, out=pos1)
-    z_p1 = ws.take("z_p1", n, theta.indices.dtype)
-    np.take(gcols, pos1, out=z_p1)
 
     # ---- draw from p2: shifted-CDF search in the shared tree -------------
     # The exclusion changes one atom (z_old: p_star_z -> p_z_excl), which
@@ -370,7 +503,8 @@ def sample_chunk(
     np.clip(pos2, 0, num_topics - 1, out=pos2)
     np.copyto(pos2, z_old, where=case_b)
 
-    z_new = np.where(take_p1, z_p1, pos2)  # fresh: this is the output
+    # ---- draw from p1: prefix-sum search in the private (per-warp) tree --
+    walk.draw(t1, take_p1, pos2)  # pos2 is fresh: it becomes the output
 
     stats = SamplingStats(
         num_tokens=n,
@@ -382,7 +516,7 @@ def sample_chunk(
         num_topics=num_topics,
         tree_depth=tree_depth_for(num_topics),
     )
-    return SampleResult(new_topics=z_new.astype(topics.dtype), stats=stats)
+    return SampleResult(new_topics=pos2.astype(topics.dtype), stats=stats)
 
 
 def conditional_distribution(

@@ -51,7 +51,7 @@ from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.platform import Platform, VOLTA_PLATFORM
 from repro.gpusim.spec import DeviceSpec
 from repro.gpusim.stream import barrier
-from repro.perf import Workspace
+from repro.perf import Workspace, native
 
 
 @dataclass(frozen=True)
@@ -557,6 +557,10 @@ class CuLdaTrainer:
             "sync_mode": self.config.sync_mode,
             "worker_affinity": self.config.worker_affinity,
             "seed": self.config.seed,
+            # which p1 walk this process runs ({"kernel": "native" |
+            # "numpy", "reason": why NumPy}); per-device figures of what
+            # actually ran are in workspace_stats()
+            "sampler_kernel": native.status(),
         }
 
     def workspace_stats(self) -> list[dict]:

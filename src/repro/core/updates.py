@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.model import ChunkState
 from repro.core.sparse import CsrCounts
+from repro.perf import native
 
 
 def apply_phi_update(
@@ -46,15 +47,41 @@ def apply_phi_update(
     accumulator so the master's merge is one add per worker instead of
     one subtract-and-add per device replica.  The changed-token masks
     are computed once and shared between the two targets.
+
+    The update runs as one native increment/decrement loop
+    (:mod:`repro.perf.native`) when that is built, else as NumPy ``.at``
+    scatters; both are integer-exact, so the results are identical.
     """
     if not (words.shape == z_old.shape == z_new.shape):
         raise ValueError("words/z_old/z_new must have identical shapes")
-    zo = z_old.astype(np.int64)
-    zn = z_new.astype(np.int64)
+    w = np.ascontiguousarray(words, dtype=np.int64)
+    zo = np.ascontiguousarray(z_old, dtype=np.int64)
+    zn = np.ascontiguousarray(z_new, dtype=np.int64)
+    lib = native.kernels()
+    if lib is not None and lib.supports_phi(
+        phi, topic_totals, accum_phi, accum_totals
+    ):
+        changed = lib.phi_update(
+            w, zo, zn, phi, topic_totals, accum_phi, accum_totals
+        )
+        if changed < 0:
+            raise IndexError(
+                f"token {-1 - changed}: topic or word out of range for phi "
+                f"of shape {phi.shape}"
+            )
+        return changed
+    return _apply_phi_update_numpy(
+        phi, topic_totals, w, zo, zn, accum_phi, accum_totals
+    )
+
+
+def _apply_phi_update_numpy(phi, topic_totals, w, zo, zn, accum_phi,
+                            accum_totals) -> int:
+    """NumPy fallback of the native loop: ``.at`` scatters."""
     changed = zo != zn
     if not np.any(changed):
         return 0
-    w = words.astype(np.int64)[changed]
+    w = w[changed]
     zo = zo[changed]
     zn = zn[changed]
     k = topic_totals.shape[0]

@@ -62,6 +62,10 @@ class Workspace:
         #: takes served from an existing buffer / takes that (re)allocated
         self.hits = 0
         self.misses = 0
+        #: which p1 walk ("native" / "numpy") the last sampling pass on
+        #: this workspace ran, and why it fell back to NumPy (if it did)
+        self.sampler_kernel: str | None = None
+        self.sampler_kernel_reason: str | None = None
 
     # -- buffers ---------------------------------------------------------
 
@@ -136,6 +140,11 @@ class Workspace:
 
     # -- introspection ---------------------------------------------------
 
+    def note_kernel(self, kernel: str, reason: str | None) -> None:
+        """Record which kernel a pass on this workspace ran (see describe)."""
+        self.sampler_kernel = kernel
+        self.sampler_kernel_reason = reason
+
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the pool (excluding memos)."""
@@ -150,6 +159,8 @@ class Workspace:
             "hits": self.hits,
             "misses": self.misses,
             "memo_entries": len(self._memo),
+            "sampler_kernel": self.sampler_kernel,
+            "sampler_kernel_reason": self.sampler_kernel_reason,
         }
 
     def clear(self) -> None:

@@ -1,11 +1,18 @@
-"""The sampling kernel's int32 fast-path overflow guard.
+"""The NumPy reference kernel's int32 fast-path overflow guard.
 
-``sample_chunk`` materialises its nnz-sized gather/scatter helpers with
-int32 indices (index bandwidth is the kernel's bottleneck) and must fall
-back to int64 when the largest flattened index it forms — ``n * K`` for
-the p1 target keys, ``K * Wp`` for the shared-tree gather — would
-overflow.  The decision lives in ``index_dtype_for``; these tests pin
-its boundary exactly and drive a real chunk pass through the int64 path.
+The NumPy p1 walk of ``sample_chunk`` (``p1_walk_numpy``: the reference
+implementation, and the fallback when the native kernel cannot be
+built) materialises its nnz-sized gather/scatter helpers with int32
+indices (index bandwidth is its bottleneck) and must fall back to int64
+when the largest flattened index it forms — ``n * K`` for the p1 target
+keys, ``K * Wp`` for the shared-tree gather — would overflow.  The
+decision lives in ``index_dtype_for``; these tests pin its boundary
+exactly and drive a real chunk pass through the int64 path with the
+native kernel switched off.
+
+The native kernel (``repro/perf/_kernels.c``) uses int64 offsets
+everywhere, so it has no int32 threshold; the wide pass checks that it
+draws the same topics.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from repro.core.rng import RngPool
 from repro.core.sampler import index_dtype_for, sample_chunk
 from repro.core.updates import apply_phi_update, verify_phi_consistency
 from repro.corpus.synthetic import SyntheticSpec, generate_synthetic_corpus
+from repro.perf import native
 
 _I32 = np.dtype(np.int32)
 _I64 = np.dtype(np.int64)
@@ -70,7 +78,9 @@ class TestWidePathIntegration:
             cs.chunk.num_tokens, config.num_topics, wp
         ) == _I64
 
-    def test_wide_pass_is_consistent_and_deterministic(self, wide_run):
+    def test_wide_pass_is_consistent_and_deterministic(
+        self, wide_run, monkeypatch
+    ):
         corpus, config, state = wide_run
         cs = state.chunks[0]
 
@@ -82,9 +92,13 @@ class TestWidePathIntegration:
                 rng=rng,
             )
 
-        r1, r2 = draw(), draw()
+        z_native = draw().new_topics
+        with monkeypatch.context() as m:
+            m.setattr(native, "kernels", lambda: None)  # the NumPy walk
+            r1, r2 = draw(), draw()
         z = r1.new_topics.astype(np.int64)
         assert np.array_equal(z, r2.new_topics.astype(np.int64))
+        assert np.array_equal(z, z_native)
         assert z.min() >= 0 and z.max() < config.num_topics
         assert r1.stats.num_p1_draws + r1.stats.num_p2_draws == cs.num_tokens
         # the index arithmetic must keep counts conserved end to end
